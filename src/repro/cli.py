@@ -401,11 +401,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             from repro.fleet import build_scenario
 
             _, telemetry = run_instrumented_experiment(
-                build_scenario(first_policy.scenario, first_policy.load),
+                build_scenario(
+                    first_policy.scenario,
+                    first_policy.load,
+                    domains=first_policy.domains,
+                ),
                 first_policy.policy,
                 eras=first_policy.eras,
                 seed=first_policy.seed,
                 predictor=first_policy.predictor,
+                online_retrain=first_policy.online_retrain,
             )
             telemetry.dump_json(args.obs_dump)
             print(f"wrote telemetry dump: {args.obs_dump}")
@@ -670,12 +675,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="'oracle' or an F2PM model name ('rep-tree', 'm5p', ...)",
         )
 
-    def obs_dump_opt(p: argparse.ArgumentParser) -> None:
+    def obs_dump_opt(p: argparse.ArgumentParser, what: str = "") -> None:
         p.add_argument(
             "--obs-dump",
             default=None,
             metavar="PATH",
-            help="write a telemetry dump (summarise it with 'repro obs')",
+            help=(
+                f"write a telemetry dump{what} (summarise it with "
+                "'repro obs')"
+            ),
         )
 
     def online_retrain_opt(p: argparse.ArgumentParser) -> None:
@@ -922,7 +930,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the aggregate cell table as CSV (with manifest)",
     )
-    obs_dump_opt(ps)
+    obs_dump_opt(
+        ps,
+        " of one instrumented run of the first policy cell (its "
+        "scenario, policy, load, domains and retrain interval; policy "
+        "heads and SLO specs are not applied)",
+    )
     ps.set_defaults(func=_cmd_sweep)
 
     ppo = sub.add_parser(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.fleet.jobs import JobSpec, head_label
+from repro.fleet.jobs import AXES, JobSpec, axis_segments, axis_values
 from repro.obs.manifest import RunManifest
 
 #: Headline metrics, in preferred column order; a report shows the ones
@@ -43,19 +43,15 @@ PREFERRED_METRICS = (
 _Z95 = 1.96
 
 
-def cell_key(
-    job: JobSpec,
-) -> tuple[str, str, str, float, int, str, str, str]:
-    """The grid cell a job belongs to (replicate index erased)."""
+def cell_key(job: JobSpec) -> tuple:
+    """The grid cell a job belongs to (replicate index erased): kind,
+    scenario, policy, load, then the job's value on every axis."""
     return (
         job.kind,
         job.scenario,
         job.policy,
         float(job.load),
-        int(job.online_retrain),
-        job.domains,
-        job.policy_head,
-        job.slo,
+        *axis_values(job),
     )
 
 
@@ -79,7 +75,7 @@ class CellStats:
     load: float
     n: int
     metrics: dict[str, MetricStats] = field(default_factory=dict)
-    retrain: int = 0
+    online_retrain: int = 0
     domains: str = "flat"
     policy_head: str = ""
     slo: str = ""
@@ -91,14 +87,7 @@ class CellStats:
             parts.append(self.policy)
         parts.append(f"load{self.load:g}")
         # axis values appear only when non-default, matching JobSpec.label
-        if self.retrain:
-            parts.append(f"retrain{self.retrain}")
-        if self.domains != "flat":
-            parts.append(f"domains{self.domains}")
-        if self.policy_head:
-            parts.append(f"head:{head_label(self.policy_head)}")
-        if self.slo:
-            parts.append(f"slo:{self.slo}")
+        parts.extend(axis_segments(axis_values(self)))
         return "/".join(parts)
 
 
@@ -142,7 +131,7 @@ def aggregate(
 
     cells: list[CellStats] = []
     for key in order:
-        kind, scenario, policy, load, retrain, domains, head, slo = key
+        kind, scenario, policy, load, *values = key
         rows = grouped[key]
         numeric: dict[str, list[float]] = {}
         for row in rows:
@@ -157,10 +146,7 @@ def aggregate(
             policy=policy,
             load=load,
             n=len(rows),
-            retrain=retrain,
-            domains=domains,
-            policy_head=head,
-            slo=slo,
+            **{axis.field: value for axis, value in zip(AXES, values)},
             metrics={
                 name: _stats(values)
                 for name, values in sorted(numeric.items())
@@ -288,19 +274,24 @@ def write_cells_csv(
 ) -> None:
     """Long-format CSV: one row per (cell, metric).
 
-    A leading ``# manifest:`` comment embeds the sweep provenance;
+    The key columns are kind, scenario, policy, load and one column per
+    axis (its raw value), so distinct cells never share a key.  A
+    leading ``# manifest:`` comment embeds the sweep provenance;
     :func:`repro.sim.tracing.read_csv_manifest` reads it back.
     """
     if not cells:
         raise ValueError("no cells to export")
+    key_columns = ["kind", "scenario", "policy", "load"]
+    key_columns += [axis.field for axis in AXES]
     with open(path, "w", encoding="utf-8") as fh:
         if manifest is not None:
             fh.write(f"# manifest: {manifest.to_json()}\n")
-        fh.write("kind,scenario,policy,load,n,metric,mean,std,ci95\n")
+        fh.write(",".join(key_columns) + ",n,metric,mean,std,ci95\n")
         for cell in cells:
+            key = [cell.kind, cell.scenario, cell.policy, repr(cell.load)]
+            key += [str(value) for value in axis_values(cell)]
             for name, stat in cell.metrics.items():
                 fh.write(
-                    f"{cell.kind},{cell.scenario},{cell.policy},"
-                    f"{cell.load!r},{cell.n},{name},"
+                    f"{','.join(key)},{cell.n},{name},"
                     f"{stat.mean!r},{stat.std!r},{stat.ci95!r}\n"
                 )

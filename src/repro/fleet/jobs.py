@@ -51,8 +51,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.obs.manifest import RunManifest, config_digest
+from repro.slo.evaluator import parse_slo_spec
+from repro.topology.domains import parse_domain_shape
 
 #: Job kinds understood by :func:`execute_job`.
 JOB_KINDS = ("policy", "load", "chaos", "synthetic", "rollout")
@@ -105,16 +108,9 @@ class JobSpec:
             raise ValueError(
                 f"unknown job kind {self.kind!r}; expected one of {JOB_KINDS}"
             )
-        if self.online_retrain < 0:
-            raise ValueError("online_retrain must be >= 0")
-        if self.domains != "flat":
-            from repro.topology.domains import parse_domain_shape
-
-            parse_domain_shape(self.domains)  # ValueError on garbage
-        if self.slo:
-            from repro.slo.evaluator import parse_slo_spec
-
-            parse_slo_spec(self.slo)  # ValueError on garbage
+        for axis, value in zip(AXES, axis_values(self)):
+            if value != axis.default:
+                axis.validate(value)  # ValueError on garbage
 
     def config(self) -> dict:
         """The effective configuration this job is a pure function of."""
@@ -129,19 +125,11 @@ class JobSpec:
             "era_s": float(self.era_s),
             "predictor": self.predictor,
         }
-        if self.online_retrain:
-            # keyed only when on, so pre-lifecycle job digests (and the
-            # store entries they address) are unchanged
-            config["online_retrain"] = int(self.online_retrain)
-        if self.domains != "flat":
-            # same digest-stability rule for the failure-domain shape
-            config["domains"] = self.domains
-        if self.policy_head:
-            # same digest-stability rule for the learned-head axis
-            config["policy_head"] = self.policy_head
-        if self.slo:
-            # same digest-stability rule for the SLO axis
-            config["slo"] = self.slo
+        for axis, value in zip(AXES, axis_values(self)):
+            if value != axis.default:
+                # keyed only off the default, so historical job digests
+                # (and the store entries they address) are unchanged
+                config[axis.field] = axis.coerce(value)
         return config
 
     @property
@@ -156,14 +144,7 @@ class JobSpec:
         if self.policy:
             parts.append(self.policy)
         parts.append(f"load{self.load:g}")
-        if self.online_retrain:
-            parts.append(f"retrain{self.online_retrain}")
-        if self.domains != "flat":
-            parts.append(f"domains{self.domains}")
-        if self.policy_head:
-            parts.append(f"head:{head_label(self.policy_head)}")
-        if self.slo:
-            parts.append(f"slo:{self.slo}")
+        parts.extend(axis_segments(axis_values(self)))
         parts.append(f"rep{self.replicate}")
         return "/".join(parts)
 
@@ -189,10 +170,10 @@ class JobSpec:
             eras=int(config["eras"]),
             era_s=float(config["era_s"]),
             predictor=str(config["predictor"]),
-            online_retrain=int(config.get("online_retrain", 0)),
-            domains=str(config.get("domains", "flat")),
-            policy_head=str(config.get("policy_head", "")),
-            slo=str(config.get("slo", "")),
+            **{
+                axis.field: axis.coerce(config.get(axis.field, axis.default))
+                for axis in AXES
+            },
         )
 
 
@@ -203,6 +184,66 @@ def head_label(spec: str) -> str:
     if spec.startswith("frozen:"):
         return "frozen:" + os.path.basename(spec.split(":", 1)[1])
     return os.path.basename(spec) if spec else spec
+
+
+def _non_negative(interval: int) -> None:
+    if interval < 0:
+        raise ValueError(f"retrain interval must be >= 0, got {interval}")
+
+
+def _any_spec(spec: str) -> None:
+    """Head specs are resolved (and rejected) when the job runs."""
+
+
+@dataclass(frozen=True, slots=True)
+class Axis:
+    """One optional sweep axis over the policy cells.
+
+    Each axis's default reproduces the historical run, and a default
+    value adds no cell-name segment and no config key -- so widening a
+    sweep along any axis never perturbs the names, seeds or digests of
+    its existing cells.
+    """
+
+    #: JobSpec / CellStats field, job config key and CSV column
+    field: str
+    #: SweepSpec field and sweep config key
+    sweep: str
+    default: Any
+    #: cell-name / label segment prefix
+    prefix: str
+    #: raises ValueError on a malformed non-default value
+    validate: Callable[[Any], object]
+    #: label form of a value; cell names and seeds use the raw value
+    label: Callable[[Any], str] = str
+
+    def coerce(self, value):
+        """``value`` as the default's type (config and store documents)."""
+        return type(self.default)(value)
+
+
+#: The optional axes, in cell-name / config / cell-key order.
+AXES = (
+    Axis("online_retrain", "retrain", 0, "retrain", _non_negative),
+    Axis("domains", "domains", "flat", "domains", parse_domain_shape),
+    Axis("policy_head", "policy_heads", "", "head:", _any_spec, head_label),
+    Axis("slo", "slo", "", "slo:", parse_slo_spec),
+)
+
+
+def axis_values(obj) -> tuple:
+    """``obj``'s value on every axis (a JobSpec or CellStats)."""
+    return tuple(getattr(obj, axis.field) for axis in AXES)
+
+
+def axis_segments(values, raw: bool = False) -> list[str]:
+    """Name segments of the non-default axis ``values``: the raw value
+    for cell names (which seed the jobs), the label form otherwise."""
+    return [
+        axis.prefix + (str(value) if raw else axis.label(value))
+        for axis, value in zip(AXES, values)
+        if value != axis.default
+    ]
 
 
 # ------------------------------------------------------------------ #
