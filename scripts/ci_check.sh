@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: the eleven checks every change must pass, cheapest signal last.
+# CI gate: the twelve checks every change must pass, cheapest signal last.
 #
 #   1. the full tier-1 test suite (unit / property / integration);
 #   2. the hot-path performance gate against the committed baseline
@@ -36,7 +36,11 @@
 #      p95 target must degrade under a request burst (429 + Retry-After
 #      header, `error: slo` bodies, `slo_*` samples in `/metrics`), then
 #      recover to 200s once the rolling window drains and the minimum
-#      dwell elapses.
+#      dwell elapses;
+#  12. the benchmark's own suite: layer self-time arithmetic, every
+#      wrapped layer name still resolving, and each workload run once
+#      at minimum size against `perfbench/reference.json` (DES trace
+#      digests, sweep and fig3 outputs).
 #
 # Usage:  scripts/ci_check.sh   (from the repository root or anywhere)
 
@@ -279,5 +283,8 @@ python -m pytest -q \
     "tests/pcam/test_columnar_parity.py::test_vmc_era_parity_oracle" \
     "tests/pcam/test_columnar_parity.py::test_vmc_parity_under_chaos_and_churn" \
     "tests/pcam/test_columnar_parity.py::test_des_loop_parity"
+
+echo "== benchmark suite =="
+python -m pytest -q perfbench/tests
 
 echo "ci_check: all gates passed"

@@ -14,6 +14,8 @@ The pieces map one-to-one onto the paper's sections:
 * :mod:`repro.core.baselines` -- non-paper reference policies (uniform,
   capacity-weighted static);
 * :mod:`repro.core.forward_plan` -- the global forward plan (Sec. V);
+* :mod:`repro.core.plan` -- :class:`PlanStep`, the leader's Eq. (1),
+  degradation ladder and ``POLICY()`` call shared by every runtime;
 * :mod:`repro.core.autoscale` -- reactive VM-pool resizing (Sec. V);
 * :mod:`repro.core.control_loop` -- the Monitor/Analyze/Plan/Execute loop,
   Algorithms 1-3 and Fig. 2;

@@ -8,8 +8,8 @@ One era of the loop walks the four states:
   :meth:`~repro.pcam.vmc.VirtualMachineController.process_era`).
 * **Analyze** (Algorithm 1) -- every VMC predicts its local RMTTF with the
   ML models and actuates PCAM locally; slave VMCs send ``lastRMTTF_i`` to
-  the leader over the overlay message bus; the leader folds each report
-  into Eq. (1).
+  the leader over the overlay message bus; the leader's
+  :class:`~repro.core.plan.PlanStep` folds each report into Eq. (1).
 * **Plan** (Algorithm 2, leader only) -- ``POLICY()`` computes the new
   ``f_i^t`` from the previous fractions and the RMTTF vector; the leader
   sends each slave its fraction.
@@ -19,7 +19,7 @@ One era of the loop walks the four states:
 
 Partitions are handled the way a real deployment degrades: a slave that
 cannot reach the leader keeps serving with its last installed fraction, and
-the leader plans with the slave's last known RMTTF.
+the leader plans with the slave's last known RMTTF (0.0 before its first).
 
 Forwarded (non-local) requests pay the overlay round-trip latency on top of
 the processing time, so plan thrash shows up as measurable response-time
@@ -33,14 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.autoscale import Autoscaler
-from repro.core.degradation import (
-    MODE_CODES,
-    DegradationConfig,
-    DegradationTracker,
-)
-from repro.core.forward_plan import ForwardPlan, build_forward_plan
-from repro.core.policy import Policy, compute_fractions
-from repro.core.rmttf import RmttfAggregator
+from repro.core.degradation import MODE_CODES, DegradationConfig
+from repro.core.forward_plan import build_forward_plan
+from repro.core.plan import PlanStep
+from repro.core.policy import Policy
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.overlay.election import LeaderElection
 from repro.overlay.network import OverlayNetwork
@@ -199,20 +195,16 @@ class AcmControlLoop:
         self.regions: list[str] = sorted(vmcs)
         self.vmcs = vmcs
         self.populations = populations
-        self.policy = policy
         self.config = config or ControlLoopConfig()
         self.rngs = rngs
         self.overlay = overlay or self._default_overlay()
         self.router = Router(self.overlay)
         self.election = LeaderElection(self.overlay)
-        self.aggregator = RmttfAggregator(self.config.beta)
+        self.plan_step = PlanStep(
+            self.regions, policy, self.config.beta, degradation, telemetry
+        )
         self.autoscaler = autoscaler or (
             Autoscaler() if self.config.autoscale else None
-        )
-        self.degradation = DegradationTracker(
-            self.regions,
-            degradation or DegradationConfig(),
-            telemetry=telemetry,
         )
         self.transport = transport
         self.lifecycle = lifecycle
@@ -252,6 +244,11 @@ class AcmControlLoop:
         return net
 
     # ------------------------------------------------------------------ #
+
+    @property
+    def policy(self) -> Policy:
+        """The leader's ``POLICY()`` (owned by :attr:`plan_step`)."""
+        return self.plan_step.policy
 
     @property
     def now(self) -> float:
@@ -363,29 +360,10 @@ class AcmControlLoop:
                 }
             else:
                 received = self.transport.gather_reports(leader, raw_reports)
-            # A corrupted predictor can emit NaN; a non-finite report is as
-            # useless as a missing one, and must never reach Eq. (1) or the
-            # policy simplex projection.
-            received = {
-                region: value
-                for region, value in received.items()
-                if np.isfinite(value)
-            }
-            self.aggregator.update_all(received)
-            rmttf_vec = np.array(
-                [
-                    self.aggregator.current(r)
-                    if r in self.aggregator.snapshot()
-                    else (
-                        raw_reports[r] if np.isfinite(raw_reports[r]) else 0.0
-                    )
-                    for r in self.regions
-                ]
-            )
+            rmttf_vec, mode = self.plan_step.observe(self.era_index, received)
 
         with tel.span("plan", kind="mape", era=self.era_index):
             # ---- Plan (Algorithm 2, leader only) ------------------------ #
-            mode = self.degradation.observe(self.era_index, received)
             if (
                 self.head_runtime is not None
                 and mode == "normal"
@@ -400,15 +378,13 @@ class AcmControlLoop:
                     per_region_rt=per_region_rt,
                 )
             else:
-                planned = compute_fractions(
-                    self.policy,
+                # no liveness: a dark controller's VMs keep serving here
+                planned = self.plan_step.plan(
                     self.fractions,
                     rmttf_vec,
+                    mode,
                     lam,
-                    mode=mode,
-                    capacities=self._healthy_capacities()
-                    if mode == "fallback"
-                    else None,
+                    self.healthy_capacities,
                 )
             if self.slo is not None:
                 # degradation signal: starve regions whose ladder is
@@ -485,7 +461,7 @@ class AcmControlLoop:
         self.era_index += 1
         return summary
 
-    def _healthy_capacities(self) -> np.ndarray:
+    def healthy_capacities(self) -> np.ndarray:
         """Per-region healthy capacity, the fallback ladder's static prior.
 
         The information-free input of the available-resources policy:
@@ -541,7 +517,7 @@ class AcmControlLoop:
             len(self.regions),
         ):
             raise ValueError("policy incompatible with region count")
-        self.policy = policy
+        self.plan_step.policy = policy
 
     # ------------------------------------------------------------------ #
 

@@ -20,9 +20,8 @@ three-state ladder, decided once per era by :class:`DegradationTracker`:
     information-free prior of the available-resources policy, computable
     entirely from local deployment knowledge.
 
-Reports carrying non-finite values (a corrupted predictor emitting NaN)
-are treated as *missing*, so numerical faults degrade gracefully instead
-of crashing :func:`repro.core.policy.normalize_fractions`.
+:class:`~repro.core.plan.PlanStep` counts a non-finite (NaN) report as
+missing, so a corrupted predictor walks this ladder.
 
 Recovery is automatic and immediate: the era a quorum of fresh reports
 reappears (e.g. rejoined regions re-syncing through the gossip store),
@@ -126,12 +125,3 @@ class DegradationTracker:
                     fresh=fresh,
                 )
         return self.mode
-
-    def fresh_regions(self, era: int) -> list[str]:
-        """Regions whose last report is within the staleness horizon."""
-        horizon = era - self.config.stale_after_eras
-        return [
-            region
-            for region in self.regions
-            if self._last_report_era.get(region, -1) >= horizon
-        ]

@@ -10,13 +10,14 @@ per-request discrete events, the way the paper's actual testbed operated:
 * requests queue at individual VMs (join-shortest-queue within a region)
   and inject anomalies on completion;
 * at every era boundary the per-VM RTTF is predicted, at-risk VMs are
-  swapped against standbys (the PCAM pairing rule), the leader folds the
-  region reports through Eq. (1) and runs ``POLICY()``.
+  swapped against standbys (the PCAM pairing rule), and the leader runs
+  the shared :class:`~repro.core.plan.PlanStep` (Eq. (1), the
+  degradation ladder, ``POLICY()``).
 
-It is intentionally oracle-predictor-only and lighter than the fluid loop
-(no autoscaling, no partitions): its job is to confirm that the policy
-conclusions do not depend on the fluid approximation.  The DES-FIG3 bench
-runs both loops on the same deployment and compares verdicts.
+It is lighter than the fluid loop (no autoscaling, policy heads, SLO
+shaping or cost; every region reaches the leader): its job is to confirm
+that the policy conclusions do not depend on the fluid approximation.
+The DES-FIG3 bench runs both loops on the same deployment.
 
 Hot-path layout
 ---------------
@@ -48,8 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.forward_plan import ForwardPlan, build_forward_plan
-from repro.core.policy import Policy, compute_fractions
-from repro.core.rmttf import RmttfAggregator
+from repro.core.plan import PlanStep
+from repro.core.policy import Policy
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.routing import NoRouteError, Router
@@ -148,7 +149,8 @@ class DesControlLoop:
     rngs:
         Root registry (streams: per-region ``des/<region>``).
     era_s, beta:
-        Control period and the Eq. (1) weight.
+        Control period and the Eq. (1) weight (the degradation ladder
+        runs with default tuning).
     rttf_threshold_s:
         Proactive-swap threshold.
     overlay:
@@ -194,13 +196,14 @@ class DesControlLoop:
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._obs_on = self._tel.enabled
         self.sim = clock if clock is not None else Simulator(telemetry=telemetry)
-        self.policy = policy
         self.predictor = predictor
         self.era_s = float(era_s)
         self.rttf_threshold_s = float(rttf_threshold_s)
         self.mean_demand = float(mean_demand)
         self.region_names = sorted(regions)
-        self.aggregator = RmttfAggregator(beta)
+        self.plan_step = PlanStep(
+            self.region_names, policy, beta=beta, telemetry=telemetry
+        )
         self.traces = TraceRecorder()
         self.fractions = policy.initial_fractions(len(self.region_names))
         self._states: dict[str, _RegionState] = {}
@@ -496,17 +499,14 @@ class DesControlLoop:
         with tel.span("analyze", kind="mape", era=self.era_index):
             reports, lam = self._analyze_regions(now)
 
-        # leader: Eq. (1), POLICY(), new plan.  An idle era (zero
-        # completed requests) holds the previous fractions rather than
-        # feeding the policy a fabricated load, matching the fluid loop
-        # which never plans against a zero-demand era.
+        # leader: Eq. (1), the ladder, POLICY(), new plan.  An idle era
+        # (zero completed requests) holds the previous fractions and the
+        # installed plan.
         with tel.span("plan", kind="mape", era=self.era_index):
-            current = self.aggregator.update_all(reports)
-            rmttf_vec = np.array([current[r] for r in self.region_names])
-            if lam > 0.0:
-                self.fractions = compute_fractions(
-                    self.policy, self.fractions, rmttf_vec, lam
-                )
+            rmttf_vec, mode = self.plan_step.observe(self.era_index, reports)
+            self.fractions = self.plan_step.plan(
+                self.fractions, rmttf_vec, mode, lam, self.healthy_capacities
+            )
         with tel.span("execute", kind="mape", era=self.era_index):
             if lam > 0.0:
                 self._install_plan(
@@ -522,7 +522,16 @@ class DesControlLoop:
                     f"fraction/{name}", now, float(self.fractions[j])
                 )
         self.era_index += 1
-        return current
+        return dict(zip(self.region_names, rmttf_vec.tolist()))
+
+    def healthy_capacities(self) -> np.ndarray:
+        """Nameplate capacity of each region's ACTIVE pool."""
+        return np.array(
+            [
+                sum(st.vms[k].itype.cpu_power for k in st.active_slots)
+                for st in self._state_by_idx
+            ]
+        )
 
     def _analyze_regions(self, now: float) -> tuple[dict[str, float], float]:
         """Per-region era accounting, prediction, and PCAM swaps."""
@@ -540,13 +549,9 @@ class DesControlLoop:
                 / self.era_s
             )
             if state.table is not None:
-                mttf_values = self._region_pcam_columnar(
-                    state, name, rate_per_vm
-                )
+                mttf_values = self._region_pcam_columnar(state, rate_per_vm)
             else:
-                mttf_values = self._region_pcam_objects(
-                    state, name, rate_per_vm
-                )
+                mttf_values = self._region_pcam_objects(state, rate_per_vm)
             self._ensure_active(state)
             state.rebuild_active_slots()
             state.era_active_start = len(state.active_slots)
@@ -567,8 +572,25 @@ class DesControlLoop:
             state.era_response_sum = 0.0
         return reports, lam
 
+    def _rejuvenate(
+        self, state: _RegionState, slot: int, reason: str, **args: float
+    ) -> None:
+        """Send a slot's VM to rejuvenation and start its next life."""
+        vm = state.vms[slot]
+        vm.start_rejuvenation()
+        state.life[slot] += 1
+        self.total_rejuvenations += 1
+        if self._obs_on:
+            self._tel.instant(
+                f"rejuvenate {vm.name}",
+                kind="rejuvenation",
+                region=state.name,
+                reason=reason,
+                **args,
+            )
+
     def _region_pcam_objects(
-        self, state: _RegionState, name: str, rate_per_vm: float
+        self, state: _RegionState, rate_per_vm: float
     ) -> list[float]:
         """Era accounting + PCAM swaps, one VM object at a time."""
         for vm in state.vms:
@@ -582,7 +604,7 @@ class DesControlLoop:
         # calling predict_mttf would re-predict, double-appending to
         # trend-predictor histories.
         mttf_values: list[float] = []
-        at_risk: list[tuple[float, int, VirtualMachine]] = []
+        at_risk: list[tuple[float, int]] = []
         pool_slots = [
             slot
             for slot, vm in enumerate(state.vms)
@@ -594,41 +616,22 @@ class DesControlLoop:
             rttf = float(rttf)
             mttf_values.append(vm.uptime_s + max(rttf, 0.0))
             if rttf < self.rttf_threshold_s:
-                at_risk.append((rttf, slot, vm))
+                at_risk.append((rttf, slot))
         at_risk.sort(key=lambda p: p[0])
         n_standby = len(state.standby())
-        for rttf, slot, vm in at_risk:
+        for rttf, slot in at_risk:
             if n_standby > 0:
                 n_standby -= 1
             elif rttf >= self.era_s:
                 continue
-            vm.start_rejuvenation()
-            state.life[slot] += 1
-            self.total_rejuvenations += 1
-            if self._obs_on:
-                self._tel.instant(
-                    f"rejuvenate {vm.name}",
-                    kind="rejuvenation",
-                    region=name,
-                    reason="at_risk",
-                    rttf_s=rttf,
-                )
+            self._rejuvenate(state, slot, "at_risk", rttf_s=rttf)
         for slot, vm in enumerate(state.vms):
             if vm.state is VmState.FAILED:
-                vm.start_rejuvenation()
-                state.life[slot] += 1
-                self.total_rejuvenations += 1
-                if self._obs_on:
-                    self._tel.instant(
-                        f"rejuvenate {vm.name}",
-                        kind="rejuvenation",
-                        region=name,
-                        reason="failed",
-                    )
+                self._rejuvenate(state, slot, "failed")
         return mttf_values
 
     def _region_pcam_columnar(
-        self, state: _RegionState, name: str, rate_per_vm: float
+        self, state: _RegionState, rate_per_vm: float
     ) -> np.ndarray:
         """Era accounting + PCAM swaps as array passes over the table.
 
@@ -658,33 +661,9 @@ class DesControlLoop:
                 n_standby -= 1
             elif rttf >= self.era_s:
                 continue
-            slot = int(slots[p])
-            vm = state.vms[slot]
-            vm.start_rejuvenation()
-            state.life[slot] += 1
-            self.total_rejuvenations += 1
-            if self._obs_on:
-                self._tel.instant(
-                    f"rejuvenate {vm.name}",
-                    kind="rejuvenation",
-                    region=name,
-                    reason="at_risk",
-                    rttf_s=rttf,
-                )
-        for slot in np.flatnonzero(
-            table.state_code == CODE_FAILED
-        ).tolist():
-            vm = state.vms[slot]
-            vm.start_rejuvenation()
-            state.life[slot] += 1
-            self.total_rejuvenations += 1
-            if self._obs_on:
-                self._tel.instant(
-                    f"rejuvenate {vm.name}",
-                    kind="rejuvenation",
-                    region=name,
-                    reason="failed",
-                )
+            self._rejuvenate(state, int(slots[p]), "at_risk", rttf_s=rttf)
+        for slot in np.flatnonzero(table.state_code == CODE_FAILED).tolist():
+            self._rejuvenate(state, slot, "failed")
         return mttf_values
 
     def run(self, n_eras: int) -> dict[str, float]:

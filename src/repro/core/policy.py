@@ -70,19 +70,17 @@ def compute_fractions(
     mode: str = "normal",
     capacities: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The single Plan-phase entry point shared by every control loop.
+    """The three-rung Plan ladder, one rung per degradation mode.
 
-    The fluid loop, the DES loop, and the wall-clock serve path all run
-    the same three-rung ladder at the Plan step; this function is that
-    ladder, so a policy head (or a new loop) wraps exactly one seam:
+    The fluid loop, the DES loop, and the wall-clock serve path reach it
+    through :meth:`repro.core.plan.PlanStep.plan`, and the static policy
+    head calls it directly, so a policy head (or a new loop) wraps
+    exactly one seam:
 
     * ``"normal"`` -- ``POLICY(f^{t-1}, RMTTF_1..RMTTF_n)`` (Algorithm 2);
     * ``"hold"``   -- quorum lost: keep the last-known-good fractions;
     * ``"fallback"`` -- reports missing too long: static split from the
       deployment's healthy capacities (requires ``capacities``).
-
-    Every branch is float-op-identical to the inlined ladders it
-    replaced, so golden traces are preserved.
     """
     if mode == "normal":
         return policy.compute(prev_fractions, rmttf, global_rate)

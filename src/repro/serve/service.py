@@ -1,12 +1,13 @@
 """ACM-as-a-service: the wall-clock MAPE runtime behind the HTTP ingress.
 
 :class:`AcmService` reuses the exact control-plane components every
-simulated deployment is built from -- the per-region VMCs, the policy,
-the EWMA RMTTF aggregator (Eq. 1), the degradation ladder, leader
-election over the overlay, and the :class:`ReliableChannel` for control
-traffic -- but drives them from a :class:`~repro.serve.clock.WallClock`
-instead of ``AcmControlLoop.run_era``'s batch step.  Differences from
-the simulated loop, both forced by real time:
+simulated deployment is built from -- the per-region VMCs, the leader's
+:class:`~repro.core.plan.PlanStep` (Eq. 1, the degradation ladder and
+``POLICY()``), leader election over the overlay, and the
+:class:`ReliableChannel` for control traffic -- but drives them from a
+:class:`~repro.serve.clock.WallClock` instead of
+``AcmControlLoop.run_era``'s batch step.  Differences from the simulated
+loop, both forced by real time:
 
 * **Load is measured, not synthesized.**  The simulator draws arrivals
   from browser populations; the service counts the real requests the
@@ -38,7 +39,6 @@ import numpy as np
 from repro.chaos.engine import ChaosEngine
 from repro.core.forward_plan import build_forward_plan
 from repro.core.manager import AcmManager
-from repro.core.policy import compute_fractions, renormalize_live
 from repro.experiments.scenarios import Scenario
 from repro.obs.exporters import to_prometheus_text
 from repro.obs.manifest import RunManifest
@@ -119,9 +119,7 @@ class AcmService:
         self.overlay = loop.overlay
         self.router = loop.router
         self.election = loop.election
-        self.policy_impl = loop.policy
-        self.aggregator = loop.aggregator
-        self.degradation = loop.degradation
+        self.plan_step = loop.plan_step
         # AcmManager pointed the metric clock at the fluid loop's era
         # arithmetic (frozen at 0 here); re-point it at the wall clock.
         tel.set_clock(lambda: self.clock.now)
@@ -167,7 +165,7 @@ class AcmService:
         )
 
         n = len(self.regions)
-        self.fractions = self.policy_impl.initial_fractions(n)
+        self.fractions = self.plan_step.policy.initial_fractions(n)
         self._arrival_fracs = np.full(n, 1.0 / n)
         plan = build_forward_plan(
             self.regions, self._arrival_fracs, self.fractions
@@ -182,7 +180,6 @@ class AcmService:
         self._lam = 1.0  # measured offered rate (req per clock second)
         self._era_index = 0
         self._plan_era = -1
-        self._mode = "normal"
         self._leader_name: str | None = None
         self._cycle_reports: dict[str, float] = {}
         self._cycle_stamp = 0.0
@@ -506,8 +503,7 @@ class AcmService:
             if not self.overlay.is_alive(r):
                 continue  # controller dark: no era cycle, no report
             rep = self.vmcs[r].process_era(served[r], cfg.era_s, now)
-            if np.isfinite(rep.last_rmttf):
-                reports[r] = rep.last_rmttf
+            reports[r] = rep.last_rmttf  # the leader's PlanStep drops NaN
             self._rmttf_latest[r] = rep.last_rmttf
             self._m_rmttf[r].set(rep.last_rmttf)
 
@@ -535,37 +531,20 @@ class AcmService:
 
     def _plan_phase(self, leader: str, era: int) -> None:
         """Plan + Execute: Algorithm 2 on whatever reports arrived."""
-        received = {
-            r: v for r, v in self._cycle_reports.items() if np.isfinite(v)
-        }
-        self.aggregator.update_all(received)
-        known = self.aggregator.snapshot()
-        rmttf_vec = np.array(
-            [
-                known[r] if r in known else 0.0
-                for r in self.regions
-            ]
-        )
-        self._mode = self.degradation.observe(era, received)
-        planned = compute_fractions(
-            self.policy_impl,
-            self.fractions,
-            rmttf_vec,
-            self._lam,
-            mode=self._mode,
-            capacities=np.array(
-                [self.vmcs[r].healthy_capacity() for r in self.regions]
-            )
-            if self._mode == "fallback"
-            else None,
-        )
+        rmttf_vec, mode = self.plan_step.observe(era, self._cycle_reports)
         # A dead region must not be planned traffic, whatever the policy
-        # said: zero it and renormalise over the live ones (the same
-        # helper the sim-side policy heads use, so the paths can't drift).
+        # said: the step zeroes it and renormalises over the live ones.
         alive = np.array(
             [self.overlay.is_alive(r) for r in self.regions], dtype=bool
         )
-        planned = renormalize_live(planned, alive)
+        planned = self.plan_step.plan(
+            self.fractions,
+            rmttf_vec,
+            mode,
+            self._lam,
+            self.manager.loop.healthy_capacities,
+            alive,
+        )
         if planned is None:
             return
         self.fractions = planned
@@ -663,7 +642,7 @@ class AcmService:
             "arrival_fractions": [float(x) for x in self._arrival_fracs],
             "era": self._era_index,
             "plan_era": self._plan_era,
-            "degradation": self._mode,
+            "degradation": self.plan_step.degradation.mode,
             "leader": self._leader_name,
         }
 

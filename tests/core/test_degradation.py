@@ -103,7 +103,7 @@ class TestLoopDegradation:
         loop.overlay.fail_link("region1", "region3")
         loop.router.invalidate()
         modes = [s.degradation for s in loop.run(12)]
-        cfg = loop.degradation.config
+        cfg = loop.plan_step.degradation.config
         # grace eras first (stale reports still fresh), then hold, then
         # fallback after the configured number of degraded eras
         assert modes[: cfg.stale_after_eras] == ["normal"] * cfg.stale_after_eras
@@ -168,6 +168,21 @@ class TestLoopDegradation:
         for pred in corruptibles.values():
             pred.set_mode("off")
         assert loop.run(1)[0].degradation == "normal"
+
+    def test_never_heard_region_plans_with_zero_rmttf(self):
+        """A region cut off from the leader since era 0 has no Eq. (1)
+        state; the leader must plan with 0.0 for it, never with the
+        report it did not receive."""
+        loop = make_manager3().loop
+        loop.overlay.fail_link("region1", "region3")
+        loop.overlay.fail_link("region2", "region3")
+        loop.router.invalidate()
+        summaries = loop.run(4)
+        assert all(s.leader != "region3" for s in summaries)
+        assert all(s.degradation == "normal" for s in summaries)
+        assert list(loop.traces.series("rmttf/region3").values) == [0.0] * 4
+        # the regions the leader does hear from report positive RMTTF
+        assert all(s.rmttf["region2"] > 0.0 for s in summaries)
 
     def test_degradation_trace_recorded(self):
         loop = make_manager().loop

@@ -11,13 +11,17 @@ vectorisation:
 * per-era accounting divided the per-VM request rate by the
   *end-of-era* active count, excluding VMs that failed mid-era;
 * an idle era fed a fabricated load ``max(lam, 1e-9)`` into
-  ``POLICY()`` instead of holding the previous fractions.
+  ``POLICY()`` instead of holding the previous fractions;
+* a NaN RMTTF report went straight into Eq. (1) and ``POLICY()``
+  (``ValueError: fractions contain non-finite values``) instead of
+  walking the degradation ladder.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import get_policy
+from repro.chaos import CorruptiblePredictor
+from repro.core import get_policy, normalize_fractions
 from repro.core.des_loop import FORWARD_FALLBACK_PENALTY_S, DesControlLoop
 from repro.overlay import OverlayNetwork
 from repro.pcam import OracleRttfPredictor, VirtualMachine, VmState
@@ -257,3 +261,36 @@ class TestStaleCompletionLifeGate:
             [loop._states[r].life for r in loop.region_names]
         )
         assert int(lifes.sum()) == loop.total_rejuvenations
+
+
+class TestNanReportsWalkTheLadder:
+    def test_nan_predictor_holds_then_falls_back(self):
+        loop = build_loop()
+        loop.run(3)
+        loop.predictor = CorruptiblePredictor(loop.predictor, mode="nan")
+        modes = []
+        for _ in range(10):
+            loop.run_era()  # must not raise
+            modes.append(loop.plan_step.degradation.mode)
+            assert np.all(np.isfinite(loop.fractions))
+            assert loop.fractions.sum() == pytest.approx(1.0)
+        # stale reports stay fresh for two eras, then quorum is lost
+        first_hold = modes.index("hold")
+        assert modes[:first_hold] == ["normal"] * first_hold
+        assert "fallback" in modes[first_hold:]
+        assert modes[-1] == "fallback"
+        # the fallback rung installs the healthy-capacity split
+        caps = np.array(
+            [
+                sum(
+                    vm.itype.cpu_power
+                    for vm in loop._states[r].vms
+                    if vm.state is VmState.ACTIVE
+                )
+                for r in loop.region_names
+            ]
+        )
+        expected = normalize_fractions(
+            caps, loop.plan_step.policy.min_fraction
+        )
+        assert np.array_equal(loop.fractions, expected)
